@@ -49,29 +49,23 @@ void BM_SerialSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialSolve);
 
-void BM_CpuLevelSetSolve(benchmark::State& state) {
+// Thread-count sweep of the two host-parallel schedules: a plan solve on
+// the persistent workspace at 1, 2 and 4 parties.
+void BM_PlanSolveThreads(benchmark::State& state, const char* key) {
   const auto& l = bench_matrix();
   const auto& b = bench_rhs();
-  const sparse::LevelAnalysis a = sparse::analyze_levels(l);
-  const int threads = static_cast<int>(state.range(0));
+  core::SolveOptions o = core::registry::options_for(key).value();
+  o.cpu_threads = static_cast<int>(state.range(0));
+  const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_lower_levelset_threads(l, b, a, threads));
+    benchmark::DoNotOptimize(plan.solve(b));
   }
   state.SetItemsProcessed(state.iterations() * l.nnz());
 }
-BENCHMARK(BM_CpuLevelSetSolve)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_CpuSyncFreeSolve(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_lower_syncfree_threads(l, b, threads));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_CpuSyncFreeSolve)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK_CAPTURE(BM_PlanSolveThreads, CpuLevelSet, "cpu-levelset")
+    ->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK_CAPTURE(BM_PlanSolveThreads, CpuTaskGraph, "cpu-taskgraph")
+    ->Arg(1)->Arg(2)->Arg(4);
 
 void BM_LevelAnalysis(benchmark::State& state) {
   const auto& l = bench_matrix();
@@ -115,31 +109,6 @@ BENCHMARK(BM_SimulatedZerocopy4Gpu);
 // The one-shot path re-runs validation + analysis every call; the plan
 // path pays them once in analyze() and each iteration below is a pure
 // solve. Per-iteration time must drop for the plan variants.
-
-void BM_OneShotSolve_CpuSyncFree(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
-  o.cpu_threads = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve(l, b, o));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_OneShotSolve_CpuSyncFree);
-
-void BM_PlanSolve_CpuSyncFree(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
-  o.cpu_threads = 2;
-  const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.solve(b));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_PlanSolve_CpuSyncFree);
 
 void BM_OneShotSolve_Serial(benchmark::State& state) {
   const auto& l = bench_matrix();
@@ -272,34 +241,18 @@ BENCHMARK_CAPTURE(BM_SolveBatch, Fused_CpuLevelSet, "cpu-levelset", true)
     ->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK_CAPTURE(BM_SolveBatch, Looped_CpuLevelSet, "cpu-levelset", false)
     ->Arg(1)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_SolveBatch, Fused_CpuSyncFree, "cpu-syncfree", true)
+BENCHMARK_CAPTURE(BM_SolveBatch, Fused_CpuTaskGraph, "cpu-taskgraph", true)
     ->Arg(1)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_SolveBatch, Looped_CpuSyncFree, "cpu-syncfree", false)
+BENCHMARK_CAPTURE(BM_SolveBatch, Looped_CpuTaskGraph, "cpu-taskgraph", false)
     ->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK_CAPTURE(BM_SolveBatch, Fused_Serial, "serial", true)
     ->Arg(1)->Arg(4)->Arg(16);
 
-// Plan re-solve on the persistent workspace (the "no thread spawn, no O(n)
-// zeroing per call" acceptance check -- compare against the PR 1 numbers
-// of BM_PlanSolve_CpuSyncFree / the one-shot variants above).
-void BM_PlanSolve_CpuLevelSet(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  core::SolveOptions o = core::registry::options_for("cpu-levelset").value();
-  o.cpu_threads = 2;
-  const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.solve(b));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_PlanSolve_CpuLevelSet);
-
 // Budget-check tax: same plan solve with an ARMED (generous, never-firing)
 // execution budget. The no-budget baselines above pass a null token to the
 // kernels -- one branch per level/claim boundary -- while these pay the
-// strided clock reads too. Compare against BM_PlanSolve_{CpuSyncFree,
-// CpuLevelSet}; main() gates the pairing below.
+// strided clock reads too. Compare against BM_PlanSolveThreads/*/2;
+// main() gates the pairing below.
 void BM_PlanSolve_BudgetArmed(benchmark::State& state, const char* key) {
   const auto& l = bench_matrix();
   const auto& b = bench_rhs();
@@ -312,7 +265,7 @@ void BM_PlanSolve_BudgetArmed(benchmark::State& state, const char* key) {
   }
   state.SetItemsProcessed(state.iterations() * l.nnz());
 }
-BENCHMARK_CAPTURE(BM_PlanSolve_BudgetArmed, CpuSyncFree, "cpu-syncfree");
+BENCHMARK_CAPTURE(BM_PlanSolve_BudgetArmed, CpuTaskGraph, "cpu-taskgraph");
 BENCHMARK_CAPTURE(BM_PlanSolve_BudgetArmed, CpuLevelSet, "cpu-levelset");
 
 // ---- BENCH_batch.json ------------------------------------------------------
@@ -355,7 +308,7 @@ int write_batch_json() {
   const auto& l = bench_matrix();
 
   std::vector<BatchCase> cases;
-  for (const char* key : {"serial", "cpu-levelset", "cpu-syncfree",
+  for (const char* key : {"serial", "cpu-levelset", "cpu-taskgraph",
                           "gpu-levelset", "mg-zerocopy"}) {
     const core::SolverPlan fused = batch_plan(key, true);
     const core::SolverPlan looped = batch_plan(key, false);
@@ -542,7 +495,7 @@ int write_kernel_json() {
           .first(static_cast<std::size_t>(k16) *
                  static_cast<std::size_t>(l.rows));
   const double bytes16 = solve_bytes_model(l, k16);
-  for (const char* key : {"serial", "cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"serial", "cpu-levelset", "cpu-taskgraph"}) {
     for (const core::RhsLayout layout :
          {core::RhsLayout::kInterleaved, core::RhsLayout::kColumnMajor}) {
       const core::SolverPlan plan = layout_plan(key, layout, threads);
@@ -729,7 +682,7 @@ int write_plan_io_json() {
   constexpr double kLeanLoadMaxVsFat = 3.0;
 
   for (const char* key :
-       {"cpu-levelset", "cpu-syncfree", "gpu-levelset", "mg-zerocopy"}) {
+       {"cpu-levelset", "cpu-taskgraph", "gpu-levelset", "mg-zerocopy"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     o.cpu_threads = 2;
     for (const bool is_upper : {false, true}) {
@@ -763,8 +716,8 @@ int write_plan_io_json() {
       c.backend = key;
       c.factor = is_upper ? "upper" : "lower";
       c.blob_mb = static_cast<double>(blob.value().size()) / 1e6;
-      const bool host_parallel =
-          std::string(key) == "cpu-levelset" || std::string(key) == "cpu-syncfree";
+      const bool host_parallel = std::string(key) == "cpu-levelset" ||
+                                 std::string(key) == "cpu-taskgraph";
       if (host_parallel) {
         // The fat (row-form-carrying) variant the lean format replaced:
         // the size delta is the doubled value payload v2 stopped paying.
@@ -922,7 +875,7 @@ int write_budget_json() {
   std::vector<BudgetCase> cases;
   bool gate_ok = true;
 
-  for (const char* key : {"cpu-syncfree", "cpu-levelset"}) {
+  for (const char* key : {"cpu-taskgraph", "cpu-levelset"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     // Single worker: the boundary checks under test run identically, but
     // the measurement is not at the mercy of gang scheduling on a noisy
@@ -1033,7 +986,7 @@ int write_trace_json() {
   bool gate_ok = true;
   const bool compiled = support::trace::trace_compiled();
 
-  for (const char* key : {"cpu-syncfree", "cpu-levelset"}) {
+  for (const char* key : {"cpu-taskgraph", "cpu-levelset"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     // Single worker, as in the budget study: the macro sites under test
     // run identically, without gang-scheduling jitter swamping the signal.
@@ -1085,7 +1038,8 @@ int write_trace_json() {
     {
       const support::trace::TraceId id = support::trace::make_trace_id();
       support::trace::ScopedTraceContext ctx(id);
-      core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
+      core::SolveOptions o =
+          core::registry::options_for("cpu-taskgraph").value();
       o.cpu_threads = 1;
       const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
       const auto r = plan.solve(b);

@@ -335,7 +335,7 @@ int main(int argc, char** argv) {
   support::CliParser cli(
       "Solve-service throughput: open vs closed loop over a client sweep "
       "(emits BENCH_service.json)");
-  cli.add_option("backend", "cpu-syncfree",
+  cli.add_option("backend", "auto",
                  "registry backend key served by the benchmark");
   cli.add_option("rows", "20000", "generated factor dimension");
   cli.add_option("seconds", "0.4", "measured seconds per point");

@@ -7,7 +7,6 @@
 #include <immintrin.h>
 #endif
 
-#include "sparse/triangular.hpp"
 #include "support/contracts.hpp"
 #include "support/failpoint.hpp"
 #include "support/trace.hpp"
@@ -185,127 +184,24 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
 }
 
 template <typename SolveOne>
-bool drive_syncfree(const sparse::CscMatrix& lower,
-                    std::span<const index_t> in_degrees, index_t num_rhs,
-                    SolveWorkspace& ws, const CancelToken* cancel,
-                    SolveOne&& solve_one) {
-  const index_t n = lower.rows;
-  std::atomic<std::uint64_t>* delivered = ws.delivered(n);
-  // Generation tagging replaces the per-solve countdown copy: each batch
-  // delivers exactly in_degree(i) updates to component i (one per incoming
-  // edge, regardless of num_rhs), so in generation g the ready target is
-  // g * in_degree(i) and the counters are never reset.
-  const std::uint64_t generation = ws.begin_generation();
-  value_t* scratch = ws.gather_scratch(num_rhs);
-  const std::size_t stride = ws.gather_stride();
-
-  // Ascending work claiming: thread-safe and deadlock-free (see header) --
-  // and indifferent to the party count, so a shrunk shared-pool gang just
-  // claims more components per thread.
-  //
-  // Abort protocol: any thread that observes the token fired raises the
-  // shared flag; claimants check it per claim and spinners on EVERY turn
-  // (a component whose producer aborted would otherwise be waited on
-  // forever). The clock itself is only read on a stride.
-  std::atomic<bool> abort{false};
-  std::atomic<index_t> next{0};
-  ws.run_parallel([&](int tid, int /*threads*/) {
-    value_t* acc = scratch + static_cast<std::size_t>(tid) * stride;
-    std::uint64_t checks = 0;
-    // Leader-only, one span for the leader's whole claim loop (the
-    // sync-free sweep has no level structure to hang per-phase spans on;
-    // per-component spans would be per-row noise). `claimed` counts the
-    // components THIS thread solved.
-    const bool lead_trace = tid == 0 && MSPTRSV_TRACE_ARMED();
-    const std::uint64_t sweep_t0 =
-        lead_trace ? support::trace::trace_now_ns() : 0;
-    std::int64_t claimed = 0;
-    const auto emit_sweep = [&] {
-      if (lead_trace) {
-        support::trace::trace_emit_here(
-            "kernel.sweep", sweep_t0, support::trace::trace_now_ns(),
-            "claimed", claimed, "rows", static_cast<std::int64_t>(n));
-      }
-    };
-    for (;;) {
-      const index_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
-        emit_sweep();
-        return;
-      }
-      if (abort.load(std::memory_order_relaxed)) {
-        emit_sweep();
-        return;
-      }
-      // Chaos seam, evaluated on EVERY real claim (not just tid 0): on a
-      // sequential chain one warm worker can drain the whole solve before
-      // another party ever claims, so gating on a tid would let a `pause`
-      // arming miss the solve entirely.
-      (void)MSPTRSV_FAILPOINT("kernel.task");
-      if (cancel != nullptr && (++checks & 255) == 0 && cancel->cancelled()) {
-        abort.store(true, std::memory_order_relaxed);
-        emit_sweep();
-        return;
-      }
-      // Lock-wait phase: ONE spin per component per batch. The acquire
-      // load pairs with the producers' delivery increments, making their
-      // final x entries visible to the gather below.
-      const std::uint64_t target =
-          generation *
-          static_cast<std::uint64_t>(in_degrees[static_cast<std::size_t>(i)]);
-      std::uint64_t spins = 0;
-      while (delivered[static_cast<std::size_t>(i)].load(
-                 std::memory_order_acquire) < target) {
-        if (abort.load(std::memory_order_relaxed)) {
-          emit_sweep();
-          return;
-        }
-        if (cancel != nullptr && (++spins & 1023) == 0 &&
-            cancel->cancelled()) {
-          abort.store(true, std::memory_order_relaxed);
-          emit_sweep();
-          return;
-        }
-        std::this_thread::yield();
-      }
-      solve_one(i, acc);
-      ++claimed;
-      // Delivery fan-out down column i: one increment per edge per batch
-      // (the x stores above must be visible first, hence release).
-      const offset_t d = lower.col_ptr[i];
-      for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
-        delivered[static_cast<std::size_t>(lower.row_idx[e])].fetch_add(
-            1, std::memory_order_acq_rel);
-      }
-    }
-  });
-  if (abort.load(std::memory_order_relaxed)) {
-    // The generation's deliveries are torn; rewind the counters so the
-    // next solve on this workspace computes targets from a clean slate.
-    ws.reset_delivery();
-    return false;
-  }
-  return true;
-}
-
-template <typename SolveOne>
 bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
                      SolveWorkspace& ws, const CancelToken* cancel,
                      SolveOne&& solve_one) {
   const index_t num_tasks = graph.num_tasks;
   value_t* scratch = ws.gather_scratch(num_rhs);
   const std::size_t stride = ws.gather_stride();
-  // The sync-free delivery machinery, lifted from rows to tasks: the
-  // counters are indexed by TASK id and the per-batch target of task t is
-  // generation * in_degree[t] (one delivery per distinct incoming
-  // cross-task edge).
+  // Generation-tagged delivery counters, indexed by TASK id: each batch
+  // delivers exactly in_degree[t] updates to task t (one per distinct
+  // incoming cross-task edge, regardless of num_rhs), so in generation g
+  // the ready target is g * in_degree[t] and the counters are never reset.
   std::atomic<std::uint64_t>* delivered = ws.delivered(num_tasks);
   const std::uint64_t generation = ws.begin_generation();
 
-  // Ascending task claiming is deadlock-free for the same reason the
-  // sync-free row claim is: every edge goes from a lower task id to a
-  // strictly higher one (tasks are numbered in level order), so the
-  // smallest unsolved task is always claimed and its predecessors done.
+  // Ascending task claiming is deadlock-free: every edge goes from a lower
+  // task id to a strictly higher one (tasks are numbered in level order),
+  // so the smallest unsolved task is always claimed and its predecessors
+  // done. It is also indifferent to the party count, so a shrunk
+  // shared-pool gang just claims more tasks per thread.
   //
   // Cancellation is checked at TASK boundaries -- every claim, and on a
   // stride inside the delivery spin (a cancelled gang must not wait on
@@ -315,8 +211,9 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
   std::atomic<index_t> next{0};
   ws.run_parallel([&](int tid, int /*threads*/) {
     value_t* acc = scratch + static_cast<std::size_t>(tid) * stride;
-    // Leader-only, one span for the whole claim loop (mirrors the
-    // sync-free sweep; per-task spans would be noise on fine DAGs).
+    // Leader-only, one span for the leader's whole claim loop (per-task
+    // spans would be noise on fine DAGs). `claimed` counts the tasks THIS
+    // thread solved.
     const bool lead_trace = tid == 0 && MSPTRSV_TRACE_ARMED();
     const std::uint64_t sweep_t0 =
         lead_trace ? support::trace::trace_now_ns() : 0;
@@ -335,8 +232,10 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
         emit_sweep();
         return;
       }
-      // Chaos seam shared with the sync-free kernel: a `pause` armed on
-      // kernel.task stalls a task hand-off mid-solve.
+      // Chaos seam, evaluated on EVERY real claim (not just tid 0): on a
+      // sequential chain one warm worker can drain the whole solve before
+      // another party ever claims, so gating on a tid would let a `pause`
+      // arming miss the solve entirely.
       (void)MSPTRSV_FAILPOINT("kernel.task");
       if (cancel != nullptr && cancel->cancelled()) {
         abort.store(true, std::memory_order_relaxed);
@@ -381,6 +280,8 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
     }
   });
   if (abort.load(std::memory_order_relaxed)) {
+    // The generation's deliveries are torn; rewind the counters so the
+    // next solve on this workspace computes targets from a clean slate.
     ws.reset_delivery();
     return false;
   }
@@ -455,80 +356,6 @@ bool solve_lower_levelset_fused_interleaved(
       analysis, num_rhs, ws, cancel, [&](index_t i, value_t* acc) {
         gather_and_solve_interleaved(row_form, i, b, k, acc, x, axpy);
       });
-}
-
-bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
-                                const sparse::CsrMatrix& row_form,
-                                std::span<const value_t> b, index_t num_rhs,
-                                std::span<const index_t> in_degrees,
-                                SolveWorkspace& ws, std::span<value_t> x,
-                                const CancelToken* cancel) {
-  const index_t n = lower.rows;
-  const std::size_t un = static_cast<std::size_t>(n);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == un * static_cast<std::size_t>(num_rhs) &&
-                      x.size() == b.size(),
-                  "batch must be column-major n x num_rhs");
-  MSPTRSV_REQUIRE(row_form.rows == n && in_degrees.size() == un,
-                  "row form / in-degrees sized for a different matrix");
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  return drive_syncfree(lower, in_degrees, num_rhs, ws, cancel,
-                        [&](index_t i, value_t* acc) {
-                          gather_and_solve(row_form, i, b, k, un, acc, x);
-                        });
-}
-
-bool solve_lower_syncfree_fused_interleaved(
-    const sparse::CscMatrix& lower, const sparse::CsrMatrix& row_form,
-    const value_t* b, index_t num_rhs, std::span<const index_t> in_degrees,
-    SolveWorkspace& ws, value_t* x, const CancelToken* cancel) {
-  const index_t n = lower.rows;
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(row_form.rows == n &&
-                      in_degrees.size() == static_cast<std::size_t>(n),
-                  "row form / in-degrees sized for a different matrix");
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  const AxpyFn axpy = axpy_kernel();
-  return drive_syncfree(
-      lower, in_degrees, num_rhs, ws, cancel, [&](index_t i, value_t* acc) {
-        gather_and_solve_interleaved(row_form, i, b, k, acc, x, axpy);
-      });
-}
-
-std::vector<value_t> solve_lower_levelset_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    const sparse::LevelAnalysis& analysis, int num_threads,
-    bool prevalidated) {
-  if (!prevalidated) sparse::require_solvable_lower(lower);
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
-                  "rhs length must match the matrix dimension");
-  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
-  SolveWorkspace ws(resolve_cpu_threads(num_threads));
-  std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
-  solve_lower_levelset_fused(rows, b, 1, analysis, ws, x);
-  return x;
-}
-
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    int num_threads) {
-  // Pre-processing of the sync-free scheme: per-component in-degrees
-  // (compute_in_degrees also validates the input).
-  return solve_lower_syncfree_threads(lower, b,
-                                      sparse::compute_in_degrees(lower),
-                                      num_threads);
-}
-
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    std::span<const index_t> in_degrees, int num_threads) {
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
-                  "rhs length must match the matrix dimension");
-  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
-  SolveWorkspace ws(resolve_cpu_threads(num_threads));
-  std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
-  solve_lower_syncfree_fused(lower, rows, b, 1, in_degrees, ws, x);
-  return x;
 }
 
 }  // namespace msptrsv::core

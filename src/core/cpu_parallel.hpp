@@ -6,21 +6,21 @@
 //
 //  * level-set: one barrier per level, components of a level split across
 //    threads (Naumov's strategy);
-//  * sync-free: all components active from the start; a component spins on
-//    its delivery counter until its dependencies resolve (Liu's strategy).
-//    Threads claim components in ascending id order from a shared counter,
-//    which guarantees deadlock freedom: the smallest unsolved component is
-//    always already claimed and its dependencies are all solved.
+//  * task graph: the sync-free claim/delivery protocol (Liu's strategy)
+//    applied to a coarsened DAG of tasks instead of single rows. Threads
+//    claim tasks in ascending id order from a shared counter, which
+//    guarantees deadlock freedom: the smallest unsolved task is always
+//    already claimed and its predecessors are all solved.
 //
 // Execution is PULL-based (the host analogue of the paper's read-only
 // NVSHMEM gather, Algorithm 3): when a component's dependencies are known
-// resolved -- by the level barrier or by its delivery counter -- it gathers
-// its left-sum directly from the already-final x entries of its
+// resolved -- by the level barrier or by its task's delivery counter -- it
+// gathers its left-sum directly from the already-final x entries of its
 // dependencies through a row-form (CSR) view of the factor cached at
 // analysis time. Producers never push partial sums into shared
 // accumulators, so the value path has no atomics at all; the only atomic
-// traffic is the sync-free per-edge delivery increment, and that is paid
-// once per edge per BATCH. A pleasant corollary: the per-rhs summation
+// traffic is the per-task delivery increment, and that is paid once per
+// cross-task edge per BATCH. A pleasant corollary: the per-rhs summation
 // order is the ascending-column row order, independent of thread count and
 // of the batch width, so fused and looped results agree bit-for-bit.
 //
@@ -33,17 +33,14 @@
 // reports it to the kernel lambda): a shared-pool gang may be narrower
 // than the workspace cap when the machine is busy, and because the gather
 // order is a property of the structure, not the schedule, the result bits
-// do not depend on it. The legacy *_threads entry points below wrap the
-// kernels with a throwaway workspace + row form for callers outside the
-// plan API.
+// do not depend on it. SolverPlan is the only caller: it owns the row
+// form, the schedule and the workspaces these kernels run on.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/cancel.hpp"
 #include "core/workspace.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/level_analysis.hpp"
 #include "sparse/task_graph.hpp"
@@ -82,31 +79,6 @@ bool solve_lower_levelset_fused_interleaved(
     const sparse::LevelAnalysis& analysis, SolveWorkspace& ws, value_t* x,
     const CancelToken* cancel = nullptr);
 
-/// Fused synchronization-free forward substitution; same batch layout and
-/// workspace contract as solve_lower_levelset_fused. `lower` supplies the
-/// column structure for the delivery fan-out, `row_form` the gather view.
-///
-/// Cancellation: checked on a stride inside the claim loop and on every
-/// turn of the delivery spin (a cancelled gang must not spin on deliveries
-/// that will never arrive). On abort the workspace's delivery counters are
-/// mid-generation; the kernel resets them (reset_delivery) before
-/// returning false, so the next solve on this workspace starts clean.
-bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
-                                const sparse::CsrMatrix& row_form,
-                                std::span<const value_t> b, index_t num_rhs,
-                                std::span<const index_t> in_degrees,
-                                SolveWorkspace& ws, std::span<value_t> x,
-                                const CancelToken* cancel = nullptr);
-
-/// Interleaved-panel form of the fused sync-free kernel (see the
-/// level-set variant above for the panel contract). Same delivery
-/// protocol, generation tagging, and abort/reset behavior as the
-/// column-major form; bit-for-bit identical results.
-bool solve_lower_syncfree_fused_interleaved(
-    const sparse::CscMatrix& lower, const sparse::CsrMatrix& row_form,
-    const value_t* b, index_t num_rhs, std::span<const index_t> in_degrees,
-    SolveWorkspace& ws, value_t* x, const CancelToken* cancel = nullptr);
-
 /// Fused task-graph forward substitution: executes a coarsened task DAG
 /// (sparse::coarsen_levels) with the sync-free claim/delivery protocol
 /// lifted from rows to TASKS. Threads claim tasks in ascending id order
@@ -115,13 +87,15 @@ bool solve_lower_syncfree_fused_interleaved(
 /// pull-based gather as the level-set kernel, so a fused chain of 1000
 /// narrow levels costs one claim instead of 1000 barriers. The per-row
 /// gather order is a property of the structure, not the schedule --
-/// results are bit-for-bit identical to the level-set and sync-free
-/// kernels at any thread count.
+/// results are bit-for-bit identical to the level-set kernel at any
+/// thread count.
 ///
 /// Cancellation: checked at TASK boundaries (every claim, and on a stride
-/// inside the delivery spin). Same abort/reset_delivery contract as the
-/// sync-free kernel; same batch layout and workspace contract as
-/// solve_lower_levelset_fused.
+/// inside the delivery spin: a cancelled gang must not spin on deliveries
+/// that will never arrive). On abort the workspace's delivery counters are
+/// mid-generation; the kernel rewinds them (reset_delivery) before
+/// returning false, so the next solve on this workspace starts clean.
+/// Same batch layout and workspace contract as solve_lower_levelset_fused.
 bool solve_lower_taskgraph_fused(const sparse::TaskGraph& graph,
                                  const sparse::CsrMatrix& row_form,
                                  std::span<const value_t> b, index_t num_rhs,
@@ -135,30 +109,5 @@ bool solve_lower_taskgraph_fused_interleaved(
     const sparse::TaskGraph& graph, const sparse::CsrMatrix& row_form,
     const value_t* b, index_t num_rhs, SolveWorkspace& ws, value_t* x,
     const CancelToken* cancel = nullptr);
-
-/// Level-set parallel forward substitution. `num_threads <= 0` uses
-/// std::thread::hardware_concurrency(). The analysis is taken as input so
-/// callers amortize it over repeated solves (the preconditioner use case).
-/// `prevalidated` skips the per-solve input revalidation when the caller
-/// already established the solvable-lower invariants at analysis time.
-/// One-shot form: builds (and discards) a workspace and a row-form view
-/// per call -- plans reuse both.
-std::vector<value_t> solve_lower_levelset_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    const sparse::LevelAnalysis& analysis, int num_threads = 0,
-    bool prevalidated = false);
-
-/// Synchronization-free parallel forward substitution. Validates the input
-/// and recomputes the in-degree preprocessing on every call.
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    int num_threads = 0);
-
-/// Reuse form of the sync-free solver: consumes precomputed in-degrees
-/// (sparse::compute_in_degrees) and skips revalidation. Still builds a
-/// throwaway workspace + row form per call; SolverPlan reuses both.
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    std::span<const index_t> in_degrees, int num_threads = 0);
 
 }  // namespace msptrsv::core

@@ -97,8 +97,7 @@ bool backend_is_multi_gpu(Backend b) {
 }
 
 bool backend_is_host_parallel(Backend b) {
-  return b == Backend::kCpuLevelSet || b == Backend::kCpuSyncFree ||
-         b == Backend::kCpuTaskGraph;
+  return b == Backend::kCpuLevelSet || b == Backend::kCpuTaskGraph;
 }
 
 /// The analyze-time schedule autotuner. Inputs are purely structural
@@ -276,9 +275,6 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
       if (!st->snapshot.levels.has_value()) {
         st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
       }
-      break;
-    case Backend::kCpuSyncFree:
-      st->snapshot.in_degrees = sparse::compute_in_degrees(lower, /*validate=*/false);
       break;
     case Backend::kGpuLevelSet:
       st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
@@ -487,84 +483,30 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
       out.report.machine_name = "host";
       break;
     }
-    case Backend::kCpuLevelSet: {
-      WorkspacePool::Lease lease = st.workspaces->acquire();
-      out.x.resize(total);
-      const auto t0 = steady_clock::now();
-      bool done;
-      if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, pb);
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        done = solve_lower_levelset_fused_interleaved(
-            *st.snapshot.row_form, pb, num_rhs, *st.snapshot.levels,
-            lease.ws(), px, cancel);
-        scratch.kernel_us += us_since(tk);
-        if (done) {
-          const auto tu = steady_clock::now();
-          unpack_interleaved(px, lower.rows, num_rhs, out.x);
-          scratch.unpack_us += us_since(tu);
-        }
-      } else {
-        done = solve_lower_levelset_fused(*st.snapshot.row_form, b, num_rhs,
-                                          *st.snapshot.levels, lease.ws(),
-                                          out.x, cancel);
-        scratch.kernel_us += us_since(t0);
-      }
-      if (!done) return cancel_error(*cancel);
-      out.wall_seconds = seconds_since(t0);
-      out.report.solver_name = backend_name(st.options.backend);
-      out.report.machine_name = "host";
-      break;
-    }
-    case Backend::kCpuSyncFree: {
-      WorkspacePool::Lease lease = st.workspaces->acquire();
-      out.x.resize(total);
-      const auto t0 = steady_clock::now();
-      bool done;
-      if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, pb);
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        done = solve_lower_syncfree_fused_interleaved(
-            lower, *st.snapshot.row_form, pb, num_rhs, st.snapshot.in_degrees,
-            lease.ws(), px, cancel);
-        scratch.kernel_us += us_since(tk);
-        if (done) {
-          const auto tu = steady_clock::now();
-          unpack_interleaved(px, lower.rows, num_rhs, out.x);
-          scratch.unpack_us += us_since(tu);
-        }
-      } else {
-        done = solve_lower_syncfree_fused(lower, *st.snapshot.row_form, b,
-                                          num_rhs, st.snapshot.in_degrees,
-                                          lease.ws(), out.x, cancel);
-        scratch.kernel_us += us_since(t0);
-      }
-      if (!done) return cancel_error(*cancel);
-      out.wall_seconds = seconds_since(t0);
-      out.report.solver_name = backend_name(st.options.backend);
-      out.report.machine_name = "host";
-      break;
-    }
+    case Backend::kCpuLevelSet:
     case Backend::kCpuTaskGraph: {
+      // Both host-parallel schedules share one skeleton -- lease, pack,
+      // kernel, unpack -- and differ only in the kernel they run: the level
+      // barrier or the task claim.
+      const bool task_claim = st.options.backend == Backend::kCpuTaskGraph;
+      const sparse::CsrMatrix& rows = *st.snapshot.row_form;
       WorkspacePool::Lease lease = st.workspaces->acquire();
+      SolveWorkspace& ws = lease.ws();
       out.x.resize(total);
       const auto t0 = steady_clock::now();
       bool done;
       if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
+        value_t* pb = ws.panel_b(total);
+        value_t* px = ws.panel_x(total);
         pack_interleaved(b, lower.rows, num_rhs, pb);
         scratch.pack_us += us_since(t0);
         const auto tk = steady_clock::now();
-        done = solve_lower_taskgraph_fused_interleaved(
-            *st.snapshot.tasks, *st.snapshot.row_form, pb, num_rhs,
-            lease.ws(), px, cancel);
+        done = task_claim
+                   ? solve_lower_taskgraph_fused_interleaved(
+                         *st.snapshot.tasks, rows, pb, num_rhs, ws, px, cancel)
+                   : solve_lower_levelset_fused_interleaved(
+                         rows, pb, num_rhs, *st.snapshot.levels, ws, px,
+                         cancel);
         scratch.kernel_us += us_since(tk);
         if (done) {
           const auto tu = steady_clock::now();
@@ -572,9 +514,12 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
           scratch.unpack_us += us_since(tu);
         }
       } else {
-        done = solve_lower_taskgraph_fused(*st.snapshot.tasks,
-                                           *st.snapshot.row_form, b, num_rhs,
-                                           lease.ws(), out.x, cancel);
+        done = task_claim
+                   ? solve_lower_taskgraph_fused(*st.snapshot.tasks, rows, b,
+                                                 num_rhs, ws, out.x, cancel)
+                   : solve_lower_levelset_fused(rows, b, num_rhs,
+                                                *st.snapshot.levels, ws, out.x,
+                                                cancel);
         scratch.kernel_us += us_since(t0);
       }
       if (!done) return cancel_error(*cancel);
@@ -1025,9 +970,7 @@ Expected<SolverPlan> SolverPlan::restore(
     const bool needs_levels = options.backend == Backend::kCpuLevelSet ||
                               options.backend == Backend::kCpuTaskGraph ||
                               options.backend == Backend::kGpuLevelSet;
-    const bool needs_in_degrees =
-        options.backend == Backend::kCpuSyncFree ||
-        backend_is_multi_gpu(options.backend);
+    const bool needs_in_degrees = backend_is_multi_gpu(options.backend);
     if (needs_levels && !snap.levels.has_value()) {
       return Result(SolveStatus::kBadSnapshot,
                     "snapshot lacks the level analysis its backend needs");
@@ -1104,6 +1047,22 @@ Expected<SolverPlan> SolverPlan::restore(
     const sparse::CoarsenOptions coarsen =
         snap.tuned.has_value() ? snap.tuned->coarsen : sparse::CoarsenOptions{};
     snap.tasks = sparse::coarsen_levels(*st->lower, *snap.levels, coarsen);
+    // The task kernel SPINS on its delivery counters: stored levels that
+    // disagree with the factor can yield a cross-task edge pointing to an
+    // EARLIER task, which a narrow gang would wait on forever. Reject
+    // those at load (one pass over the edges); level orders that merely
+    // mis-answer are left to the CRC, as for every other schedule.
+    const sparse::TaskGraph& g = *snap.tasks;
+    for (index_t t = 0; t < g.num_tasks; ++t) {
+      for (offset_t e = g.succ_ptr[static_cast<std::size_t>(t)];
+           e < g.succ_ptr[static_cast<std::size_t>(t) + 1]; ++e) {
+        if (g.succ[static_cast<std::size_t>(e)] <= t) {
+          return Result(SolveStatus::kBadSnapshot,
+                        "snapshot level analysis does not match the factor "
+                        "structure (task graph has a backward edge)");
+        }
+      }
+    }
   }
 
   // RHS layout: explicit options win; otherwise trust the stored resolved
@@ -1116,18 +1075,6 @@ Expected<SolverPlan> SolverPlan::restore(
   }
 
   apply_numa_hints(options, snap);
-
-  // The sync-free host kernel SPINS on its delivery counters: in-degrees
-  // that disagree with the factor would hang the worker threads, not just
-  // mis-answer, so re-derive them and compare (one streaming pass over
-  // the structure; the level/mg schedules degrade to wrong answers at
-  // worst and are left to the CRC).
-  if (n > 0 && options.backend == Backend::kCpuSyncFree &&
-      sparse::compute_in_degrees(*st->lower, /*validate=*/false) !=
-          snap.in_degrees) {
-    return Result(SolveStatus::kBadSnapshot,
-                  "snapshot in-degrees do not match the factor structure");
-  }
 
   st->options = std::move(options);
   st->snapshot = std::move(snap);

@@ -65,7 +65,7 @@ struct PlanSnapshot {
 
   /// Component-to-GPU distribution (multi-GPU backends; rebuilt at load).
   std::optional<sparse::Partition> partition;
-  /// Per-component in-degrees (sync-free backends).
+  /// Per-component in-degrees (multi-GPU engines).
   std::vector<index_t> in_degrees;
   /// Level-set analysis (level-scheduled backends).
   std::optional<sparse::LevelAnalysis> levels;

@@ -10,13 +10,11 @@ namespace msptrsv::core::registry {
 
 namespace {
 
-constexpr std::array<BackendEntry, 9> kBackends{{
+constexpr std::array<BackendEntry, 8> kBackends{{
     {Backend::kSerial, "serial",
      "host reference, Algorithm 1 column sweep", false, false, true},
     {Backend::kCpuLevelSet, "cpu-levelset",
      "real-thread level-set (Naumov on the host)", false, false, true},
-    {Backend::kCpuSyncFree, "cpu-syncfree",
-     "real-thread sync-free (Liu on the host)", false, false, true},
     {Backend::kCpuTaskGraph, "cpu-taskgraph",
      "real-thread coarsened task DAG (chain-fused levels)", false, false,
      true},
@@ -67,7 +65,6 @@ Expected<Backend> parse_backend(std::string_view key) {
   if (k == "unified") return Backend::kMgUnified;
   if (k == "shmem") return Backend::kMgShmem;
   if (k == "zerocopy" || k == "zero-copy") return Backend::kMgZeroCopy;
-  if (k == "syncfree") return Backend::kCpuSyncFree;
   if (k == "taskgraph" || k == "task-graph") return Backend::kCpuTaskGraph;
   return Expected<Backend>(SolveStatus::kUnknownBackend,
                            "unknown backend '" + std::string(key) +

@@ -4,7 +4,6 @@
 // plus the host baselines:
 //   kSerial         Algorithm 1 (host reference)
 //   kCpuLevelSet    real-thread level-set (Naumov on the host)
-//   kCpuSyncFree    real-thread sync-free (Liu on the host)
 //   kCpuTaskGraph   real-thread coarsened task DAG (chain-fused levels)
 //   kGpuLevelSet    simulated cuSPARSE csrsv2 (Fig. 10 baseline)
 //   kMgUnified      "4GPU-Unified":      Algorithm 2, block distribution
@@ -34,7 +33,6 @@ namespace msptrsv::core {
 enum class Backend {
   kSerial,
   kCpuLevelSet,
-  kCpuSyncFree,
   kCpuTaskGraph,
   kGpuLevelSet,
   kMgUnified,

@@ -20,10 +20,10 @@
 //
 //  * MONOTONIC delivery counters tagged by a per-workspace generation,
 //    replacing the sync-free pending countdowns. Every solve (or fused
-//    batch) delivers exactly in_degree(i) updates to component i -- one
-//    per incoming edge, regardless of the batch width -- so in solve
-//    generation g the component is ready when delivered[i] reaches
-//    g * in_degree(i). The counters are never reset or re-copied; the
+//    batch) delivers exactly in_degree(t) updates to task t -- one per
+//    incoming cross-task edge, regardless of the batch width -- so in
+//    solve generation g the task is ready when delivered[t] reaches
+//    g * in_degree(t). The counters are never reset or re-copied; the
 //    target moves instead.
 //
 // There are no left-sum accumulators anymore: the fused kernels gather a
@@ -141,7 +141,7 @@ class SolveWorkspace {
   /// Reusable per-level barrier, sized by run_parallel for each run.
   SpinBarrier& level_barrier() { return barrier_; }
 
-  /// Monotonic per-component delivery counters (sync-free backend).
+  /// Monotonic per-task delivery counters (task-graph backend).
   /// Zero-initialized once on first use, never reset afterwards.
   std::atomic<std::uint64_t>* delivered(index_t n);
 
@@ -173,12 +173,11 @@ class SolveWorkspace {
     return grow_panel(panel_x_store_, panel_x_base_, panel_x_capacity_, elems);
   }
 
-  /// Starts a new sync-free solve generation and returns it (>= 1). The
-  /// ready target of component i this generation is
-  /// generation * in_degree(i).
+  /// Starts a new delivery generation and returns it (>= 1). The ready
+  /// target of task t this generation is generation * in_degree(t).
   std::uint64_t begin_generation() { return ++generation_; }
 
-  /// Rewinds the delivery protocol after an ABORTED sync-free solve: a
+  /// Rewinds the delivery protocol after an ABORTED task-graph solve: a
   /// cancelled generation leaves the counters partially advanced, so the
   /// next generation's targets would never be reached. Zeroes every
   /// materialized counter and restarts the generation count. Must only be

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <optional>
 #include <utility>
@@ -29,7 +30,8 @@ struct SolveServer::Connection {
   std::thread reader;
   std::thread pump;
 
-  /// Solve replies in flight: the reader submits, the pump completes.
+  /// Replies in flight, written strictly in arrival order: the reader
+  /// queues, the pump completes.
   struct Pending {
     std::uint64_t request_id = 0;
     std::future<service::SolveService::Reply> reply;
@@ -38,11 +40,31 @@ struct SolveServer::Connection {
     /// thread-local context of its own.
     support::trace::TraceId trace_id{};
     std::uint64_t parent_span = 0;
+    /// Set instead of `reply` for a control frame whose answer reports on
+    /// served traffic (stats, trace dump, drain): the pump builds the
+    /// frame at its turn, after every earlier reply has been written and
+    /// its span and histogram recorded.
+    std::function<std::vector<std::uint8_t>()> control;
   };
   std::mutex pump_mutex;
   std::condition_variable pump_cv;
   std::deque<Pending> pump_queue;
   bool pump_closed = false;  ///< no more pushes; pump drains and exits
+
+  /// Appends to the pump FIFO: replies leave in exactly this order.
+  void enqueue(Pending pending) {
+    {
+      std::lock_guard<std::mutex> lock(pump_mutex);
+      pump_queue.push_back(std::move(pending));
+    }
+    pump_cv.notify_one();
+  }
+  /// Queues a control reply the pump builds at its turn.
+  void enqueue_control(std::function<std::vector<std::uint8_t>()> build) {
+    Pending pending;
+    pending.control = std::move(build);
+    enqueue(std::move(pending));
+  }
 
   std::atomic<bool> finished{false};  ///< reader has exited (reapable)
 };
@@ -69,9 +91,12 @@ Expected<bool> SolveServer::start() {
 
 void SolveServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // No new connections: closing the listener unblocks accept().
-  listener_.close();
+  // No new connections: shutting the listener down unblocks accept().
+  // The descriptor is released only after the acceptor has exited, so no
+  // accept() can run on a closed -- or already reused -- descriptor.
+  listener_.shutdown();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
   // No new requests: half-close every read side. Readers fall out of
   // read_frame with a clean EOF, close their pump (which flushes every
   // queued reply -- the service answers all admitted work), and exit.
@@ -87,7 +112,7 @@ void SolveServer::stop() {
 void SolveServer::accept_loop() {
   while (running_.load(std::memory_order_acquire)) {
     Expected<Socket> accepted = listener_.accept();
-    if (!accepted.ok()) continue;  // closed listener ends the loop
+    if (!accepted.ok()) continue;  // a shut-down listener ends the loop
     reap_finished(/*join_all=*/false);
     if (connections_active_.load(std::memory_order_relaxed) >=
         options_.max_connections) {
@@ -236,6 +261,10 @@ void SolveServer::pump_loop(const std::shared_ptr<Connection>& conn) {
       }
       next = std::move(conn->pump_queue.front());
       conn->pump_queue.pop_front();
+    }
+    if (next.control) {
+      write_reply(*conn, next.control());
+      continue;
     }
     service::SolveService::Reply reply = next.reply.get();
     if (reply.ok()) {
@@ -479,12 +508,12 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   // asynchronous solve.
   std::future<service::SolveService::Reply> reply = service_.submit_batch(
       *plan, std::move(frame.rhs), frame.num_rhs, submit);
-  {
-    std::lock_guard<std::mutex> lock(conn.pump_mutex);
-    conn.pump_queue.push_back({head.request_id, std::move(reply),
-                               frame.trace_id, submit.parent_span});
-  }
-  conn.pump_cv.notify_one();
+  // Record the rx span before the reply can become visible: once queued,
+  // the pump may write it at once, and a client that then collects (or
+  // clears) traces must find this span already in place.
+  rx_span.reset();
+  conn.enqueue({head.request_id, std::move(reply), frame.trace_id,
+                submit.parent_span, {}});
 }
 
 void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
@@ -498,22 +527,26 @@ void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
   }
   // Served even when span recording is compiled out or disarmed: the
   // reply is then an empty trace document, which a stitching router
-  // treats the same as "this shard saw nothing".
-  TraceDumpOkFrame ok;
-  ok.request_id = head.request_id;
-  if (!frame.value().filter.empty()) {
-    support::trace::TraceId id{};
-    (void)support::trace::trace_id_parse(frame.value().filter, &id);
-    ok.json = support::trace::trace_collect_json(id);
-  } else {
-    ok.json = support::trace::trace_collect_json();
-  }
-  if (frame.value().include_slow) {
-    ok.slow_json = support::trace::trace_slow_json();
-  } else {
-    ok.slow_json = "{\"traceEvents\":[]}";
-  }
-  write_reply(conn, encode_trace_dump_ok(ok));
+  // treats the same as "this shard saw nothing". Collected on the pump,
+  // so the spans of every earlier reply on this connection are in it.
+  conn.enqueue_control([request_id = head.request_id,
+                        request = std::move(frame.value())] {
+    TraceDumpOkFrame ok;
+    ok.request_id = request_id;
+    if (!request.filter.empty()) {
+      support::trace::TraceId id{};
+      (void)support::trace::trace_id_parse(request.filter, &id);
+      ok.json = support::trace::trace_collect_json(id);
+    } else {
+      ok.json = support::trace::trace_collect_json();
+    }
+    if (request.include_slow) {
+      ok.slow_json = support::trace::trace_slow_json();
+    } else {
+      ok.slow_json = "{\"traceEvents\":[]}";
+    }
+    return encode_trace_dump_ok(ok);
+  });
 }
 
 void SolveServer::handle_stats(Connection& conn, FrameHead& head) {
@@ -525,15 +558,20 @@ void SolveServer::handle_stats(Connection& conn, FrameHead& head) {
                                     stats.message()}));
     return;
   }
-  StatsOkFrame ok;
-  ok.request_id = head.request_id;
-  ok.format = stats.value().format;
-  if (ok.format == StatsFormat::kPrometheus) {
-    ok.text = render_prometheus(wire_stats(), options_.server_name);
-  } else {
-    ok.stats = wire_stats();
-  }
-  write_reply(conn, encode_stats_ok(ok));
+  // Snapshotted on the pump, so every earlier reply on this connection
+  // is already counted in it.
+  conn.enqueue_control([this, request_id = head.request_id,
+                        format = stats.value().format] {
+    StatsOkFrame ok;
+    ok.request_id = request_id;
+    ok.format = format;
+    if (format == StatsFormat::kPrometheus) {
+      ok.text = render_prometheus(wire_stats(), options_.server_name);
+    } else {
+      ok.stats = wire_stats();
+    }
+    return encode_stats_ok(ok);
+  });
 }
 
 void SolveServer::handle_drain(Connection& conn, FrameHead& head) {
@@ -546,12 +584,16 @@ void SolveServer::handle_drain(Connection& conn, FrameHead& head) {
     return;
   }
   // Blocks THIS connection's reader until every admitted request (from
-  // any connection) is answered; other connections keep flowing.
+  // any connection) is answered; other connections keep flowing. The
+  // acknowledgement queues behind this connection's earlier replies, so
+  // it never overtakes one of them on the wire.
   service_.drain();
-  DrainOkFrame ok;
-  ok.request_id = head.request_id;
-  ok.completed = service_.stats().completed;
-  write_reply(conn, encode_drain_ok(ok));
+  conn.enqueue_control([this, request_id = head.request_id] {
+    DrainOkFrame ok;
+    ok.request_id = request_id;
+    ok.completed = service_.stats().completed;
+    return encode_drain_ok(ok);
+  });
 }
 
 void SolveServer::handle_ping(Connection& conn, FrameHead& head) {

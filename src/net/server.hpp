@@ -2,13 +2,16 @@
 // frame protocol (net/protocol.hpp) in front of a service::SolveService.
 //
 // Threading model, per connection:
-//  * a READER thread decodes frames and dispatches them. Control frames
-//    (hello, open, stats, drain) are answered inline; solve frames are
+//  * a READER thread decodes frames and dispatches them. Hello, open,
+//    ping and failpoint frames are answered inline; solve frames are
 //    submitted to the service and their futures queued to...
 //  * ...a COMPLETION-PUMP thread, which waits each future out in FIFO
 //    order and writes the reply. Pipelined solves therefore never block
 //    the reader: a client can keep dozens of request ids in flight and
 //    the connection stays responsive to control traffic throughout.
+//    Control frames that REPORT on served traffic (stats, trace dump,
+//    drain) queue into the same FIFO and are built on the pump, so their
+//    answer reflects -- and never overtakes -- every earlier reply.
 //  * all writes to one socket are serialized by a per-connection mutex
 //    (the pump and the reader both reply).
 //

@@ -158,6 +158,10 @@ Expected<ListenSocket> ListenSocket::open(std::uint16_t port, int backlog) {
   return out;
 }
 
+void ListenSocket::shutdown() {
+  if (sock_.valid()) ::shutdown(sock_.fd(), SHUT_RDWR);
+}
+
 Expected<Socket> ListenSocket::accept() {
   for (;;) {
     const int fd = ::accept(sock_.fd(), nullptr, nullptr);

@@ -72,19 +72,22 @@ class ListenSocket {
   bool valid() const { return sock_.valid(); }
   std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection. kNetworkError after close() -- the
-  /// acceptor loop's exit signal.
+  /// Blocks for the next connection. kNetworkError after shutdown() --
+  /// the acceptor loop's exit signal.
   core::Expected<Socket> accept();
 
-  /// Unblocks any accept() in flight (they return kNetworkError). The
-  /// shutdown before the close is load-bearing: on Linux, close() alone
-  /// does NOT wake a thread already blocked in accept() -- shutdown()
-  /// does, making it fail with EINVAL.
-  void close() {
-    sock_.shutdown_read();
-    sock_.shutdown_write();
-    sock_.close();
-  }
+  /// Unblocks any accept() in flight and fails every later one (they
+  /// return kNetworkError) without releasing the descriptor: on Linux,
+  /// close() alone does NOT wake a thread already blocked in accept() --
+  /// shutdown() does, making it fail with EINVAL. Safe to call while
+  /// another thread is inside accept().
+  void shutdown();
+
+  /// Releases the descriptor. Only once no thread can be inside accept()
+  /// (shutdown(), then join the acceptor): closing under a concurrent
+  /// accept() races on the descriptor and can hand its number to an
+  /// unrelated open() that the acceptor then accepts on.
+  void close() { sock_.close(); }
 
  private:
   Socket sock_;

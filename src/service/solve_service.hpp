@@ -5,7 +5,7 @@
 // into a server:
 //
 //   service::SolveService svc;                        // shared pool + cache
-//   auto plan = svc.plan_for(L, "cpu-syncfree");      // analyze-on-first-use
+//   auto plan = svc.plan_for(L, "auto");              // analyze-on-first-use
 //   auto fut  = svc.submit(*plan, b);                 // async, non-blocking
 //   auto slo  = svc.submit(*plan, b2,                 // SLO'd traffic
 //       {.priority = service::Priority::kHigh,
@@ -162,7 +162,8 @@ class SolveService {
 
   core::Expected<core::SolverPlan> plan_for(const sparse::CscMatrix& lower,
                                             core::SolveOptions options);
-  /// Registry-keyed backend ("cpu-syncfree", "mg-zerocopy", ...).
+  /// Registry-keyed backend or the "auto" preset ("auto", "cpu-taskgraph",
+  /// "mg-zerocopy", ...).
   core::Expected<core::SolverPlan> plan_for(const sparse::CscMatrix& lower,
                                             std::string_view backend_key);
   /// Machine-preset construction ("dgx1x8", "dgx2x16", ...).

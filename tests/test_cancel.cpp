@@ -48,17 +48,6 @@ Problem layered_problem(index_t n = 800) {
   return p;
 }
 
-/// A fully sequential chain: every component depends on its predecessor,
-/// so while one worker is parked on component i, no other worker can
-/// steal the rest of the solve out from under the test.
-Problem chain_problem(index_t n = 800) {
-  Problem p;
-  p.l = sparse::gen_chain(n);
-  p.x_ref = sparse::gen_solution(n, 73);
-  p.b = sparse::gen_rhs_for_solution(p.l, p.x_ref);
-  return p;
-}
-
 class CancelFixture : public ::testing::Test {
  protected:
   void TearDown() override { support::failpoint_clear_all(); }
@@ -134,7 +123,7 @@ TEST(CancelSolve, TimeBudgetOptionActsAsAnExecutionDeadline) {
   // refuses even the plain solve() overloads -- no token plumbing needed
   // at the call site.
   const Problem p = layered_problem();
-  core::SolveOptions o = opts("cpu-syncfree");
+  core::SolveOptions o = opts("cpu-taskgraph");
   o.time_budget = 1e-12;
   const auto plan = core::SolverPlan::analyze(p.l, o);
   ASSERT_TRUE(plan.ok());
@@ -180,23 +169,31 @@ TEST_F(CancelFixture, LevelsetAbortsMidSolveAndTheWorkspaceIsReusable) {
   EXPECT_EQ(after.value().x, good);
 }
 
-TEST_F(CancelFixture, SyncfreeAbortsMidSolveAndTheWorkspaceIsReusable) {
+TEST_F(CancelFixture, TaskgraphAbortsMidSolveAndTheWorkspaceIsReusable) {
   if (!support::failpoints_compiled()) GTEST_SKIP();
-  // The chain gives the paused claimant a component every other worker
-  // transitively depends on: the whole gang is provably in the kernel
-  // (parked or spinning) when the flag goes up, and the spinners
-  // themselves detect it.
-  const Problem p = chain_problem();
-  const auto plan =
-      core::SolverPlan::analyze(p.l, opts("cpu-syncfree"));
+  // Chain-heavy structure: each chain fuses into one task that the next
+  // fan's block tasks depend on, so the paused claimant holds a task the
+  // rest of the gang transitively waits for -- every other worker is
+  // provably in the kernel (spinning on a delivery) when the flag goes up,
+  // and the spinners themselves detect it.
+  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 100, 256, 4, 81);
+  const std::vector<value_t> b =
+      sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 74));
+  const auto plan = core::SolverPlan::analyze(l, opts("cpu-taskgraph"));
   ASSERT_TRUE(plan.ok());
-  const std::vector<value_t> good = plan->solve(p.b).value().x;
+  // The rewind under test only matters with deliveries to rewind: at
+  // least two tasks joined by a cross-task edge.
+  const sparse::TaskGraph* graph = plan->task_graph();
+  ASSERT_NE(graph, nullptr);
+  ASSERT_GE(graph->num_tasks, 2);
+  ASSERT_FALSE(graph->succ.empty());
+  const std::vector<value_t> good = plan->solve(b).value().x;
 
   const std::uint64_t base = support::failpoint_hits("kernel.task");
   ASSERT_TRUE(support::failpoint_set("kernel.task", "pause*1"));
   CancelSource src;
   core::Expected<core::SolveResult> result(SolveStatus::kOk, "");
-  std::thread solver([&] { result = plan->solve(p.b, src.token()); });
+  std::thread solver([&] { result = plan->solve(b, src.token()); });
   ASSERT_TRUE(support::failpoint_wait_hits("kernel.task", base + 1, 10000));
   src.cancel();
   support::failpoint_clear("kernel.task");
@@ -207,7 +204,7 @@ TEST_F(CancelFixture, SyncfreeAbortsMidSolveAndTheWorkspaceIsReusable) {
 
   // The torn generation's delivery counters were rewound on abort; a
   // follow-up solve on the SAME workspace must neither hang nor drift.
-  const auto after = plan->solve(p.b);
+  const auto after = plan->solve(b);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().x, good);
 }

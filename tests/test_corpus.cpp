@@ -191,6 +191,23 @@ TEST(FuzzCorpus, SeedCorpusIsRegeneratedDeterministically) {
   }
 }
 
+TEST(FuzzCorpus, RetiredBackendBlobIsATypedRejection) {
+  // reject_snapshot_syncfree_v3.bin is a v3 blob of a cpu-syncfree plan,
+  // written before that backend was retired (it is NOT regenerated by the
+  // seed test: no current binary can write it). Loading it must fail with
+  // a typed kBadSnapshot naming the unknown backend, never remap it.
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(support::read_file(
+      corpus_dir() + "/reject_snapshot_syncfree_v3.bin", bytes));
+  const std::string err = snapshot_decodes(bytes);
+  EXPECT_NE(err.find("cpu-syncfree"), std::string::npos) << err;
+
+  const auto plan = core::SolverPlan::deserialize(
+      bytes, core::registry::options_for("auto").value());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status(), core::SolveStatus::kBadSnapshot);
+}
+
 TEST(FuzzCorpus, EveryCorpusFileFailStopsOrDecodesAsNamed) {
   std::size_t replayed = 0;
   for (const fs::directory_entry& e : fs::directory_iterator(corpus_dir())) {

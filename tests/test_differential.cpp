@@ -1,8 +1,8 @@
 // Cross-backend differential harness.
 //
 // One seeded sweep drives every host execution strategy through the same
-// inputs -- {lower, upper} x {serial, cpu-levelset, cpu-syncfree,
-// cpu-taskgraph} x {1, 4 threads} x {column-major, interleaved} x
+// inputs -- {lower, upper} x {serial, cpu-levelset, cpu-taskgraph} x
+// {1, 4 threads} x {column-major, interleaved} x
 // {solve, solve_batch, update_values-then-solve} -- and holds the results
 // to two contracts at once:
 //
@@ -10,7 +10,7 @@
 //    tight relative tolerance (the serial sweep is PUSH-based, so its
 //    summation order legitimately differs);
 //  * bits: the pull-based host-parallel backends (cpu-levelset,
-//    cpu-syncfree, cpu-taskgraph) gather in ascending-column row order BY
+//    cpu-taskgraph) gather in ascending-column row order BY
 //    CONSTRUCTION, independent of schedule, thread count, and layout --
 //    so all of them must agree bit for bit, across every configuration.
 //
@@ -62,8 +62,7 @@ struct Config {
 
 std::vector<Config> configs() {
   std::vector<Config> out;
-  for (const char* b :
-       {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
+  for (const char* b : {"serial", "cpu-levelset", "cpu-taskgraph"}) {
     for (int t : {1, 4}) {
       for (RhsLayout l : {RhsLayout::kColumnMajor, RhsLayout::kInterleaved}) {
         out.push_back({b, t, l});

@@ -47,7 +47,7 @@ core::SolveOptions host_opts(const char* key, RhsLayout layout,
 }
 
 constexpr const char* kHostBackends[] = {"serial", "cpu-levelset",
-                                         "cpu-syncfree"};
+                                         "cpu-taskgraph"};
 
 // ---- layout resolution -----------------------------------------------------
 
@@ -55,7 +55,7 @@ TEST(RhsLayoutResolve, AutoPicksInterleavedOnlyForParallelHostBackends) {
   using core::Backend;
   EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kCpuLevelSet),
             RhsLayout::kInterleaved);
-  EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kCpuSyncFree),
+  EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kCpuTaskGraph),
             RhsLayout::kInterleaved);
   // The serial sweep is push-based and already unit-stride; auto leaves it
   // column-major (interleaving it measured ~2x slower).
@@ -72,7 +72,7 @@ TEST(RhsLayoutResolve, ExplicitRequestsHonoredOnHostClampedOnSim) {
       core::resolve_rhs_layout(RhsLayout::kInterleaved, Backend::kSerial),
       RhsLayout::kInterleaved);
   EXPECT_EQ(
-      core::resolve_rhs_layout(RhsLayout::kColumnMajor, Backend::kCpuSyncFree),
+      core::resolve_rhs_layout(RhsLayout::kColumnMajor, Backend::kCpuTaskGraph),
       RhsLayout::kColumnMajor);
   // The simulated kernels have no panel path: clamped, not rejected.
   EXPECT_EQ(
@@ -207,7 +207,7 @@ TEST(InterleavedLayout, ThreadCountDoesNotChangeTheBits) {
   const sparse::CscMatrix l = layered();
   const index_t k = 8;
   const std::vector<value_t> batch = batch_for(l, k, 1100);
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset", "cpu-taskgraph"}) {
     SCOPED_TRACE(key);
     const auto one = core::SolverPlan::analyze(
         l, host_opts(key, RhsLayout::kInterleaved, 1));
@@ -334,7 +334,7 @@ TEST(Numa, PlacementPoliciesReproduceTheBitsExactly) {
   const sparse::CscMatrix l = layered();
   const index_t k = 8;
   const std::vector<value_t> batch = batch_for(l, k, 1500);
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset", "cpu-taskgraph"}) {
     SCOPED_TRACE(key);
     core::SolveOptions none = host_opts(key, RhsLayout::kInterleaved);
     const std::vector<value_t> expect =

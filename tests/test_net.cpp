@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -91,7 +92,7 @@ TEST(NetProtocol, OpenPlanMatrixRoundTrip) {
   net::OpenPlanFrame f;
   f.request_id = 7;
   f.mode = net::OpenMode::kMatrix;
-  f.backend_key = "cpu-syncfree";
+  f.backend_key = "cpu-taskgraph";
   f.matrix = net_matrix(3);
   const auto blob = blob_of(net::encode_open_plan(f));
 
@@ -100,7 +101,7 @@ TEST(NetProtocol, OpenPlanMatrixRoundTrip) {
   const auto back = net::decode_open_plan(head.value());
   ASSERT_TRUE(back.ok()) << back.message();
   EXPECT_EQ(back.value().mode, net::OpenMode::kMatrix);
-  EXPECT_EQ(back.value().backend_key, "cpu-syncfree");
+  EXPECT_EQ(back.value().backend_key, "cpu-taskgraph");
   EXPECT_EQ(back.value().matrix.col_ptr, f.matrix.col_ptr);
   EXPECT_EQ(back.value().matrix.row_idx, f.matrix.row_idx);
   EXPECT_EQ(back.value().matrix.val, f.matrix.val);
@@ -428,11 +429,11 @@ TEST(NetLoopback, ServedSolveIsBitForBitEqualToDirect) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().rows, l.rows);
 
-  const auto direct = server.service().plan_for(l, "cpu-syncfree");
+  const auto direct = server.service().plan_for(l, "cpu-taskgraph");
   ASSERT_TRUE(direct.ok());
   const std::vector<value_t> want = direct->solve(b).value().x;
 
@@ -455,6 +456,52 @@ TEST(NetLoopback, ServedSolveIsBitForBitEqualToDirect) {
   server.stop();
 }
 
+TEST(NetLoopback, RemovedHostSyncFreeBackendIsRefusedOverTheWire) {
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(net_matrix(19), "cpu-syncfree");
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status(), SolveStatus::kUnknownBackend) << handle.message();
+}
+
+TEST(NetLoopback, StartConnectStopCyclesSurviveAConcurrentConnector) {
+  // stop() must wake the acceptor, join it, and only then release the
+  // listening descriptor. A connector hammering the port while servers
+  // come and go must neither hang stop() nor race the descriptor (run
+  // under -fsanitize=thread to see the latter).
+  std::atomic<std::uint16_t> port{0};
+  std::atomic<bool> done{false};
+  std::thread connector([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint16_t p = port.load(std::memory_order_acquire);
+      if (p == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      (void)net::tcp_connect("127.0.0.1", p);  // refused once stopped
+    }
+  });
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    SolveServer server;
+    const auto started = server.start();
+    EXPECT_TRUE(started.ok()) << started.message();
+    if (!started.ok()) break;
+    port.store(server.port(), std::memory_order_release);
+    net::ClientOptions copt;
+    copt.port = server.port();
+    SolveClient client(copt);
+    EXPECT_TRUE(client.ping(std::chrono::milliseconds(5000)).ok())
+        << "cycle " << cycle;
+    server.stop();
+    port.store(0, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  connector.join();
+}
+
 TEST(NetLoopback, OpensDeduplicateByContentAcrossConnections) {
   SolveServer server;
   ASSERT_TRUE(server.start().ok());
@@ -463,10 +510,10 @@ TEST(NetLoopback, OpensDeduplicateByContentAcrossConnections) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient a(copt), b(copt);
-  const auto first = a.open(l, "cpu-syncfree");
+  const auto first = a.open(l, "cpu-taskgraph");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().source, "cache");  // analyzed on first use
-  const auto second = b.open(l, "cpu-syncfree");
+  const auto second = b.open(l, "cpu-taskgraph");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().source, "open");  // deduped against a's open
   EXPECT_EQ(server.wire_stats().plans_open, 1u);
@@ -478,7 +525,7 @@ TEST(NetLoopback, PlanBlobUploadSkipsServerAnalysis) {
   ASSERT_TRUE(server.start().ok());
   const sparse::CscMatrix l = net_matrix(29);
 
-  const auto options = core::registry::service_options("cpu-syncfree");
+  const auto options = core::registry::service_options("cpu-taskgraph");
   ASSERT_TRUE(options.ok());
   const auto plan = core::SolverPlan::analyze(l, options.value());
   ASSERT_TRUE(plan.ok());
@@ -489,7 +536,7 @@ TEST(NetLoopback, PlanBlobUploadSkipsServerAnalysis) {
   copt.port = server.port();
   SolveClient client(copt);
   const auto handle =
-      client.open_plan_blob(std::move(blob.value()), "cpu-syncfree");
+      client.open_plan_blob(std::move(blob.value()), "cpu-taskgraph");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().source, "deserialized");
 
@@ -519,7 +566,7 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
     net::ClientOptions copt;
     copt.port = a.port();
     SolveClient client(copt);
-    ASSERT_TRUE(client.open(l, "cpu-syncfree").ok());
+    ASSERT_TRUE(client.open(l, "cpu-taskgraph").ok());
     a.stop();
   }
 
@@ -532,12 +579,12 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
   net::ClientOptions copt;
   copt.port = bsrv.port();
   SolveClient client(copt);
-  const auto handle = client.open_by_hash(hash, "cpu-syncfree");
+  const auto handle = client.open_by_hash(hash, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().source, "disk");
 
   const std::vector<value_t> b = rhs_for(l, 1);
-  const auto direct = bsrv.service().plan_for(l, "cpu-syncfree");
+  const auto direct = bsrv.service().plan_for(l, "cpu-taskgraph");
   const auto x = client.solve(handle.value(), b);
   ASSERT_TRUE(x.ok());
   EXPECT_EQ(x.value(), direct->solve(b).value().x);
@@ -545,7 +592,7 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
   // An unknown hash is a typed kBadSnapshot, not a protocol error.
   sparse::StructuralHash unknown = hash;
   unknown.pattern ^= 0xDEADBEEF;
-  const auto miss = client.open_by_hash(unknown, "cpu-syncfree");
+  const auto miss = client.open_by_hash(unknown, "cpu-taskgraph");
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status(), SolveStatus::kBadSnapshot);
 
@@ -577,7 +624,7 @@ void expect_fail_stop(SolveServer& server,
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok()) << handle.message();
   const std::vector<value_t> b = rhs_for(l, 1);
   EXPECT_TRUE(client.solve(handle.value(), b).ok());
@@ -657,7 +704,7 @@ TEST(NetLoopback, InjectedOverloadDrivesRetryToSuccess) {
   copt.retry.max_attempts = 4;
   copt.retry.initial_backoff = std::chrono::microseconds(100);
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok());
 
   const std::vector<value_t> b = rhs_for(l, 1);
@@ -685,7 +732,7 @@ TEST(NetLoopback, RetryExhaustionReturnsOverloaded) {
   copt.retry.max_attempts = 3;
   copt.retry.initial_backoff = std::chrono::microseconds(100);
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok());
 
   const auto x = client.solve(handle.value(), rhs_for(l, 1));
@@ -706,7 +753,7 @@ TEST(NetLoopback, NonRetryableStatusesAreNotRetried) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok());
 
   // A shed deadline comes back on the FIRST attempt: re-sending the same
@@ -734,7 +781,7 @@ TEST(NetLoopback, DrainCompletesEverythingAdmitted) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok());
 
   const std::vector<value_t> b = rhs_for(l, 1);
@@ -763,7 +810,7 @@ TEST(NetLoopback, PrometheusMetricsRenderTheServedTraffic) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-taskgraph");
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(
       client.solve(handle.value(), rhs_for(l, 1), service::Priority::kHigh)
@@ -825,7 +872,7 @@ TEST(NetRouter, PlansGetAHomeShardAndBothShardsTakeTraffic) {
   std::set<std::size_t> shards_used;
   for (const std::uint64_t seed : seeds) {
     const sparse::CscMatrix l = net_matrix(seed, 300);
-    const auto routed = router.open(l, "cpu-syncfree");
+    const auto routed = router.open(l, "cpu-taskgraph");
     ASSERT_TRUE(routed.ok()) << routed.message();
     EXPECT_EQ(routed.value().shard,
               router.shard_of(sparse::hash_csc(l).pattern));
@@ -836,7 +883,7 @@ TEST(NetRouter, PlansGetAHomeShardAndBothShardsTakeTraffic) {
     ASSERT_TRUE(x.ok());
     // Bit-for-bit against a direct plan on the HOME shard's service.
     SolveServer& home = routed.value().shard == 0 ? s0 : s1;
-    const auto direct = home.service().plan_for(l, "cpu-syncfree");
+    const auto direct = home.service().plan_for(l, "cpu-taskgraph");
     EXPECT_EQ(x.value(), direct->solve(b).value().x);
   }
   EXPECT_EQ(shards_used.size(), 2u);

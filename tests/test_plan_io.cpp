@@ -6,6 +6,7 @@
 // SolveStatus::kBadSnapshot, never a crash or a silent misload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -257,7 +258,7 @@ TEST(PlanIoLayout, LeanBlobIsSmallerAndLoadsBitForBit) {
   // The v2 default omits the row form (it duplicates every factor value);
   // the load path must rebuild it and solve exactly like the fat image.
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset", "cpu-taskgraph"}) {
     SCOPED_TRACE(key);
     core::SolveOptions opt = core::registry::options_for(key).value();
     opt.cpu_threads = 1;
@@ -290,7 +291,7 @@ TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
   // by backend exactly as v1-era plans did implicitly, and solves
   // bit-for-bit.
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key : {"cpu-levelset", "cpu-syncfree", "serial"}) {
+  for (const char* key : {"cpu-levelset", "cpu-taskgraph", "serial"}) {
     SCOPED_TRACE(key);
     core::SolveOptions opt = core::registry::options_for(key).value();
     opt.cpu_threads = 1;
@@ -412,7 +413,7 @@ TEST(PlanIo, GpuCountMismatchIsBadSnapshot) {
 TEST(PlanIo, BorrowedLoadChecksStructuralHash) {
   const sparse::CscMatrix l = test_matrix();
   const core::SolveOptions opt =
-      core::registry::options_for("cpu-syncfree").value();
+      core::registry::options_for("cpu-taskgraph").value();
   const std::string path = temp_plan_path("borrowed");
   ASSERT_TRUE(core::SolverPlan::analyze(l, opt)->save(path).ok());
 
@@ -451,27 +452,31 @@ TEST(PlanIo, BorrowedLoadChecksStructuralHash) {
   std::remove(path.c_str());
 }
 
-TEST(PlanIo, InDegreeDriftIsRejectedNotHung) {
-  // A CRC-valid blob whose in-degrees disagree with its factor would make
-  // the sync-free kernel spin forever on its delivery counters; the load
-  // must reject it, not hand the hang to the first solve.
-  const sparse::CscMatrix l = test_matrix();
-  core::SolveOptions opt = core::registry::options_for("cpu-syncfree").value();
+TEST(PlanIo, LevelDriftIsRejectedNotHung) {
+  // A CRC-valid blob whose level order disagrees with its factor would
+  // hand the task kernel a backward cross-task edge -- a 1-thread gang
+  // would spin on it forever; the load must reject it, not hand the hang
+  // to the first solve.
+  // Chains feeding wide fans: several tasks joined by cross-task edges.
+  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 20, 256, 4, 9);
+  core::SolveOptions opt = core::registry::options_for("cpu-taskgraph").value();
   opt.cpu_threads = 1;
+  ASSERT_GE(core::SolverPlan::analyze(l, opt)->task_graph()->num_tasks, 2);
 
   core::PlanSnapshot snap;
-  snap.backend = core::Backend::kCpuSyncFree;
+  snap.backend = core::Backend::kCpuTaskGraph;
   snap.tasks_per_gpu = opt.tasks_per_gpu;
   snap.num_gpus = opt.machine.num_gpus();
-  snap.in_degrees = sparse::compute_in_degrees(l);
-  snap.in_degrees[0] += 1;  // one undeliverable dependency
-  snap.row_form = sparse::csr_from_csc(l);
+  snap.levels = sparse::analyze_levels(l);
+  // Deepest rows first: every dependency now sits in a LATER task.
+  std::reverse(snap.levels->order.begin(), snap.levels->order.end());
   const std::vector<std::uint8_t> blob = core::serialize_snapshot(snap, l);
 
   const auto r = core::SolverPlan::deserialize(blob, opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
-  EXPECT_NE(r.message().find("in-degree"), std::string::npos) << r.message();
+  EXPECT_NE(r.message().find("backward edge"), std::string::npos)
+      << r.message();
 }
 
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {

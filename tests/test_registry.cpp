@@ -15,7 +15,7 @@ namespace {
 namespace registry = core::registry;
 
 TEST(Registry, CatalogueCoversEveryBackendWithUniqueKeys) {
-  ASSERT_EQ(registry::backends().size(), 9u);
+  ASSERT_EQ(registry::backends().size(), 8u);
   std::set<std::string> keys;
   std::set<core::Backend> seen;
   for (const registry::BackendEntry& e : registry::backends()) {
@@ -73,6 +73,17 @@ TEST(Registry, OptionsForResolvesKeyOrReportsError) {
 
   EXPECT_EQ(registry::options_for("nope").status(),
             core::SolveStatus::kUnknownBackend);
+}
+
+TEST(Registry, RemovedHostSyncFreeBackendIsUnknown) {
+  // The row-granular host sync-free backend was retired in favor of the
+  // task-graph executor; its key and alias are refused like any other
+  // unknown name, never silently remapped.
+  for (const char* key : {"cpu-syncfree", "syncfree"}) {
+    EXPECT_EQ(registry::options_for(key).status(),
+              core::SolveStatus::kUnknownBackend)
+        << key;
+  }
 }
 
 TEST(Registry, EveryBackendDefaultConfigurationSolves) {

@@ -52,7 +52,7 @@ std::vector<BackendConfig> backend_configs() {
 
   add("serial", Backend::kSerial, sim::Machine::dgx1(1));
   add("cpu-levelset", Backend::kCpuLevelSet, sim::Machine::dgx1(1));
-  add("cpu-syncfree", Backend::kCpuSyncFree, sim::Machine::dgx1(1));
+  add("cpu-taskgraph", Backend::kCpuTaskGraph, sim::Machine::dgx1(1));
   add("gpu-levelset", Backend::kGpuLevelSet, sim::Machine::dgx1(1));
   add("unified-dgx1x2", Backend::kMgUnified, sim::Machine::dgx1(2));
   add("unified-dgx1x4", Backend::kMgUnified, sim::Machine::dgx1(4));

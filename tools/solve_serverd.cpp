@@ -1,9 +1,10 @@
 // solve_serverd: the deployable solve-server daemon.
 //
-//   solve_serverd --port=7450 --backend=cpu-syncfree --threads=8 \
-//                 --cache-dir=/var/lib/msptrsv/plans
+//   solve_serverd --port=7450 --threads=8 --cache-dir=/var/lib/msptrsv/plans
 //
-// Serves the wire protocol (docs/PROTOCOL.md) until SIGTERM/SIGINT, then
+// The daemon has no backend flag: each client names the backend (or the
+// "auto" preset) in its open frame. It serves the wire protocol
+// (docs/PROTOCOL.md) until SIGTERM/SIGINT, then
 // DRAINS: in-flight solves complete and are flushed before exit(0) -- a
 // rolling restart behind a router never drops an admitted request.
 //
