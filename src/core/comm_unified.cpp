@@ -1,6 +1,4 @@
 #include "core/comm_unified.hpp"
-#include <cstdio>
-#include <cstdlib>
 
 namespace msptrsv::core {
 
@@ -54,19 +52,6 @@ sim_time_t UnifiedComm::gather_before_solve(int gpu, index_t comp,
   sim_time_t t = t1;
   if (!remote_gpus.empty()) {
     t = um_.poll_read(left_sum_region_, comp, gpu, t1);
-  }
-  {
-    static bool dbg = std::getenv("MSPTRSV_ENGINE_DEBUG") != nullptr;
-    static int budget = 5;
-    if (dbg && budget > 0 && t - start > 500.0) {
-      --budget;
-      std::fprintf(stderr,
-                   "[gather] comp=%d gpu=%d start=%.1f indeg_done=%.1f "
-                   "leftsum_done=%.1f indeg_owner=%d leftsum_owner=%d\n",
-                   comp, gpu, start, t1, t,
-                   um_.owner_of(in_degree_region_, comp),
-                   um_.owner_of(left_sum_region_, comp));
-    }
   }
   return t + cost_.atomic_local_us;
 }

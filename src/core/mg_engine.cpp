@@ -56,17 +56,13 @@ sim_time_t engine_analysis_us(const sparse::CscMatrix& lower,
   return worst;
 }
 
-EngineResult run_mg_engine(const sparse::CscMatrix& lower,
-                           std::span<const value_t> b,
-                           const sparse::Partition& partition,
-                           const sim::Machine& machine, sim::Interconnect& net,
-                           CommPolicy& comm, const EngineOptions& opts) {
+sim::RunReport run_mg_engine(const sparse::CscMatrix& lower,
+                             const sparse::Partition& partition,
+                             const sim::Machine& machine,
+                             sim::Interconnect& net, CommPolicy& comm,
+                             const EngineOptions& opts) {
   if (opts.in_degrees == nullptr) sparse::require_solvable_lower(lower);
-  MSPTRSV_REQUIRE(opts.num_rhs >= 1 && opts.cost_rhs >= 1,
-                  "batch widths must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows) *
-                                  static_cast<std::size_t>(opts.num_rhs),
-                  "batch must be column-major n x num_rhs");
+  MSPTRSV_REQUIRE(opts.cost_rhs >= 1, "batch width must be >= 1");
   MSPTRSV_REQUIRE(partition.n() == lower.rows,
                   "partition built for a different matrix size");
   MSPTRSV_REQUIRE(partition.num_gpus() <= machine.num_gpus(),
@@ -78,8 +74,7 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   const int num_gpus = partition.num_gpus();
   const sim::CostModel& cost = machine.cost;
 
-  EngineResult out;
-  sim::RunReport& rep = out.report;
+  sim::RunReport rep;
   rep.machine_name = machine.name;
   rep.num_gpus = num_gpus;
   rep.busy_us_per_gpu.assign(static_cast<std::size_t>(num_gpus), 0.0);
@@ -127,12 +122,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   }
 
   // ---- event-driven solve --------------------------------------------------
-  // Component-major accumulators (cell(i, r) at i*k + r) keep the fused
-  // per-component RHS sweep contiguous; x is column-major per the API.
-  const std::size_t k = static_cast<std::size_t>(opts.num_rhs);
-  const std::size_t un = static_cast<std::size_t>(n);
-  std::vector<value_t> left_sum(un * k, 0.0);
-  out.x.assign(un * k, 0.0);
   std::vector<std::uint32_t> contributors(static_cast<std::size_t>(n), 0);
   /// Latest dependency-visibility time per component.
   std::vector<sim_time_t> ready_floor(static_cast<std::size_t>(n), 0.0);
@@ -146,11 +135,15 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   sim_time_t makespan = 0.0;
   index_t solved = 0;
   std::vector<int> remote_gpus;  // scratch, decoded from the bitmask
-  std::vector<value_t> xi(k);    // the solved component's rhs sweep
 
   // Solves component i; both its slot admission and its dependencies are
   // satisfied at `t`. Returns the slot-release time.
   auto solve_component = [&](index_t i, sim_time_t t) {
+    // The schedule must respect every dependency: a component solves only
+    // after all its in-edges have pushed their updates.
+    MSPTRSV_ENSURE(remaining[static_cast<std::size_t>(i)] == 0,
+                   "engine solved component " + std::to_string(i) +
+                       " before its dependencies");
     const int gpu = partition.owner_of(i);
 
     remote_gpus.clear();
@@ -168,17 +161,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
         gathered + cost.solve_base_us +
         cost.solve_per_nnz_us * fanout * static_cast<double>(opts.cost_rhs);
 
-    // Numeric solve (identical arithmetic to Algorithm 1's step, per rhs).
-    // The sweep lands in a contiguous buffer so the fan-out below reads
-    // it unit-stride instead of re-reading column-major x.
-    const value_t diag = lower.val[d];
-    for (std::size_t r = 0; r < k; ++r) {
-      xi[r] = (b[r * un + static_cast<std::size_t>(i)] -
-               left_sum[static_cast<std::size_t>(i) * k + r]) /
-              diag;
-      out.x[r * un + static_cast<std::size_t>(i)] = xi[r];
-    }
-
     // Push updates to dependents. One warp issues them in sequence, so a
     // stalling update (fenced RMW chain) delays the rest -- `cursor_t`
     // threads the producer-side time through the fan-out. One update per
@@ -186,10 +168,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
     sim_time_t cursor_t = solve_done;
     for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
       const index_t dep = lower.row_idx[e];
-      value_t* dep_sum = left_sum.data() + static_cast<std::size_t>(dep) * k;
-      for (std::size_t r = 0; r < k; ++r) {
-        dep_sum[r] += lower.val[e] * xi[r];
-      }
       const int dst = partition.owner_of(dep);
       const bool is_final = remaining[static_cast<std::size_t>(dep)] == 1;
       const UpdateTiming timing =
@@ -269,7 +247,7 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   comm.fill_report(rep);
   rep.link_bytes = net.total_bytes();
   rep.link_messages = net.total_messages();
-  return out;
+  return rep;
 }
 
 }  // namespace msptrsv::core

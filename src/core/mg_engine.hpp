@@ -8,9 +8,12 @@
 // GPU boundary and what the solver pays to read the gathered state. The
 // engine factors that difference into a CommPolicy.
 //
-// The engine is a deterministic discrete-event list scheduler that
-// *executes the numerics for real* (it returns the solution vector) while
-// accounting simulated time:
+// The engine is a pure cost model: a deterministic discrete-event list
+// scheduler that walks the solve's dependency structure and accounts
+// simulated time, but does no arithmetic. The solution of a simulated
+// backend comes from the serial reference sweep (core/reference.hpp),
+// whose fixed topological order does not depend on the schedule, so the
+// simulated x is bit-for-bit the serial backend's x. Per run:
 //  - each GPU is a multi-server resource of `warp_slots_per_gpu` slots;
 //  - each task (Section V) is a kernel whose launch is serialized on its
 //    GPU's stream, delaying its components by the launch overhead;
@@ -79,36 +82,23 @@ struct EngineOptions {
   /// that produced them already established the solvable-lower invariants.
   /// This is the reuse path of SolverPlan (analyze once, solve many).
   const std::vector<index_t>* in_degrees = nullptr;
-  /// Numeric batch width: `b` is column-major n x num_rhs and the result
-  /// has the same layout. The event schedule (and therefore the per-rhs
-  /// floating-point operation order) depends only on the matrix structure
-  /// and the cost model, never on num_rhs -- the fused batch solves every
-  /// rhs of a component inside the single lock-wait that schedule implies.
-  index_t num_rhs = 1;
-  /// Fused-batch COST width: how many rhs each component's kernel carries
-  /// in the cost model. Scales the per-component floating-point work
+  /// Fused-batch width: how many rhs each component's kernel carries in
+  /// the cost model. Scales the per-component floating-point work
   /// (solve_per_nnz) while kernel launches, lock-waits, gathers and
   /// dependency-update messages stay per-component/per-edge -- the
-  /// amortization the fused kernel exists for. Kept separate from num_rhs
-  /// so SolverPlan can obtain the looped-identical numerics (cost_rhs=1)
-  /// and the amortized timing (cost_rhs=k) without the cost scaling
-  /// perturbing the numeric event order.
+  /// amortization the fused kernel exists for. The CommPolicy is built
+  /// with the same width so value-carrying payloads are priced k wide.
   index_t cost_rhs = 1;
 };
 
-struct EngineResult {
-  /// Column-major n x num_rhs.
-  std::vector<value_t> x;
-  sim::RunReport report;
-};
-
-/// Runs the engine. `net` must be freshly constructed (or reset) for the
-/// machine's topology; the CommPolicy must wrap the same `net`.
-EngineResult run_mg_engine(const sparse::CscMatrix& lower,
-                           std::span<const value_t> b,
-                           const sparse::Partition& partition,
-                           const sim::Machine& machine, sim::Interconnect& net,
-                           CommPolicy& comm, const EngineOptions& opts = {});
+/// Runs the engine and returns the simulated run's report. `net` must be
+/// freshly constructed (or reset) for the machine's topology; the
+/// CommPolicy must wrap the same `net`.
+sim::RunReport run_mg_engine(const sparse::CscMatrix& lower,
+                             const sparse::Partition& partition,
+                             const sim::Machine& machine,
+                             sim::Interconnect& net, CommPolicy& comm,
+                             const EngineOptions& opts = {});
 
 /// Simulated cost of the in-degree preprocessing pass under `partition`:
 /// every GPU streams its own columns in parallel, so the slowest GPU bounds

@@ -541,49 +541,34 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
     case Backend::kMgZeroCopy: {
       const bool unified = st.options.backend == Backend::kMgUnified ||
                            st.options.backend == Backend::kMgUnifiedTask;
-      auto run_engine = [&](const EngineOptions& eng,
-                            std::span<const value_t> rhs) {
-        // The policies are stateful per run: fresh interconnect + comm
-        // models every pass (also what makes concurrent solves safe).
-        sim::Interconnect net(st.options.machine.topology,
-                              st.options.machine.cost);
-        // The comm policy carries the fused-batch width so every
-        // value-carrying payload (managed left_sum pages, one-sided
-        // left_sum gathers/puts) is priced k values wide while message
-        // counts stay per-edge.
-        if (unified) {
-          UnifiedComm comm(net, st.options.machine.cost,
-                           st.snapshot.partition->num_gpus(), lower.rows,
-                           eng.cost_rhs);
-          return run_mg_engine(lower, rhs, *st.snapshot.partition, st.options.machine,
-                               net, comm, eng);
-        }
-        NvshmemComm comm(net, st.options.machine.cost, st.snapshot.partition->num_gpus(),
-                         lower.rows, st.options.nvshmem, eng.cost_rhs);
-        return run_mg_engine(lower, rhs, *st.snapshot.partition, st.options.machine,
-                             net, comm, eng);
-      };
+      // Numerics: the serial sweep's fixed topological order, so x is
+      // bit-for-bit the serial backend's and independent of the schedule.
+      out.x = solve_lower_serial_fused(lower, b, num_rhs);
+      // Cost: ONE event simulation of the whole batch under the fused cost
+      // model (per-component work scales with the batch; launches,
+      // lock-waits, gathers and update messages amortized). The policies
+      // are stateful per run: fresh interconnect + comm models every solve
+      // (also what makes concurrent solves safe). The comm policy carries
+      // the batch width so every value-carrying payload (managed left_sum
+      // pages, one-sided left_sum gathers/puts) is priced k values wide
+      // while message counts stay per-edge.
       EngineOptions eng;
       eng.include_analysis = false;  // charged once by the plan
       eng.in_degrees = &st.snapshot.in_degrees;
-      // Numeric pass: the schedule (and so the per-rhs operation order) is
-      // the single-solve one -- cost_rhs stays 1 -- which is what makes
-      // fused x bit-for-bit equal to looped x.
-      eng.num_rhs = num_rhs;
-      EngineResult numeric = run_engine(eng, b);
-      out.x = std::move(numeric.x);
-      if (num_rhs == 1) {
-        out.report = std::move(numeric.report);
+      eng.cost_rhs = num_rhs;
+      const sparse::Partition& partition = *st.snapshot.partition;
+      sim::Interconnect net(st.options.machine.topology,
+                            st.options.machine.cost);
+      if (unified) {
+        UnifiedComm comm(net, st.options.machine.cost, partition.num_gpus(),
+                         lower.rows, num_rhs);
+        out.report = run_mg_engine(lower, partition, st.options.machine, net,
+                                   comm, eng);
       } else {
-        // Timing pass: ONE event simulation of the whole batch under the
-        // fused cost model (per-component work scales with the batch;
-        // launches, lock-waits, gathers and update messages amortized).
-        EngineOptions timing = eng;
-        timing.num_rhs = 1;
-        timing.cost_rhs = num_rhs;
-        EngineResult timed = run_engine(
-            timing, b.first(static_cast<std::size_t>(lower.rows)));
-        out.report = std::move(timed.report);
+        NvshmemComm comm(net, st.options.machine.cost, partition.num_gpus(),
+                         lower.rows, st.options.nvshmem, num_rhs);
+        out.report = run_mg_engine(lower, partition, st.options.machine, net,
+                                   comm, eng);
       }
       out.report.solver_name = backend_name(st.options.backend);
       break;

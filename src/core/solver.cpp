@@ -29,8 +29,8 @@ std::string rhs_layout_name(RhsLayout layout) {
 }
 
 RhsLayout resolve_rhs_layout(RhsLayout requested, Backend backend) {
-  // The simulated backends have no panel path: their numeric pass is the
-  // serial reference and their cost is an event simulation, so an
+  // The simulated backends have no panel path: their numerics are the
+  // serial reference sweep and their cost is a model, so an
   // interleaved request is clamped rather than rejected.
   if (is_simulated(backend)) return RhsLayout::kColumnMajor;
   if (requested != RhsLayout::kAuto) return requested;

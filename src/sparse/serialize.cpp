@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace msptrsv::sparse {
 
@@ -189,7 +190,10 @@ LevelAnalysis read_levels(support::BlobReader& r) {
             sz(a.level_ptr) == static_cast<std::size_t>(a.num_levels) + 1 &&
             sz(a.in_degree) == static_cast<std::size_t>(a.n);
   // The level schedule indexes `order` through level_ptr and `x` through
-  // order: both must stay in bounds even for a resealed hostile blob.
+  // order: both must stay in bounds even for a resealed hostile blob. And
+  // the three views must describe ONE schedule: `order` a permutation of
+  // [0, n) whose level_ptr ranges hold exactly the rows level_of puts
+  // there -- a reversed order would otherwise load and solve wrong.
   ok = ok && a.level_ptr.front() == 0 &&
        a.level_ptr.back() == static_cast<offset_t>(a.n);
   if (ok) {
@@ -197,9 +201,22 @@ LevelAnalysis read_levels(support::BlobReader& r) {
     for (std::size_t l = 1; l < a.level_ptr.size(); ++l) {
       bad |= a.level_ptr[l - 1] > a.level_ptr[l];
     }
-    const auto bound = static_cast<std::uint32_t>(a.n);
-    for (std::size_t i = 0; i < a.order.size(); ++i) {
-      bad |= static_cast<std::uint32_t>(a.order[i]) >= bound;
+    if (!bad) {
+      const auto bound = static_cast<std::uint32_t>(a.n);
+      std::vector<std::uint8_t> seen(static_cast<std::size_t>(a.n), 0);
+      for (std::size_t l = 0; l + 1 < a.level_ptr.size() && !bad; ++l) {
+        const auto level = static_cast<index_t>(l);
+        const auto end = static_cast<std::size_t>(a.level_ptr[l + 1]);
+        for (auto p = static_cast<std::size_t>(a.level_ptr[l]); p < end; ++p) {
+          const auto i = static_cast<std::uint32_t>(a.order[p]);
+          if (i >= bound) {
+            bad = true;
+            break;
+          }
+          bad |= (seen[i] != 0) | (a.level_of[i] != level);
+          seen[i] = 1;
+        }
+      }
     }
     ok = !bad;
   }

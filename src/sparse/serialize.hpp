@@ -59,7 +59,10 @@ CsrMatrix read_csr(support::BlobReader& r);
 CscMatrix skip_csc(support::BlobReader& r, offset_t& nnz_out);
 
 /// Level-set analysis results round-trip with the plans that cached them
-/// (the expensive half of the csrsv2-style symbolic phase).
+/// (the expensive half of the csrsv2-style symbolic phase). read_levels
+/// fails the reader unless `order` is a permutation of [0, n) whose
+/// level_ptr ranges hold exactly the rows level_of assigns to each level
+/// (one O(n) pass). Consistency with the factor's edges is not checked.
 void write_levels(support::BlobWriter& w, const LevelAnalysis& a);
 LevelAnalysis read_levels(support::BlobReader& r);
 

@@ -271,7 +271,7 @@ bool write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
                  static_cast<std::size_t>(fp.arg > 0 ? fp.arg : 0));
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f != nullptr) {
-      std::fwrite(bytes.data(), 1, n, f);
+      if (n > 0) std::fwrite(bytes.data(), 1, n, f);
       std::fclose(f);
     }
     return false;
@@ -286,7 +286,10 @@ bool write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
                           std::to_string(seq.fetch_add(1));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  // An empty blob has no buffer (data() may be null, which fwrite must not
+  // be handed); it still publishes an empty file through the rename.
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool closed = std::fclose(f) == 0;
   if (written != bytes.size() || !closed ||
       std::rename(tmp.c_str(), path.c_str()) != 0) {

@@ -208,6 +208,25 @@ TEST(FuzzCorpus, RetiredBackendBlobIsATypedRejection) {
   EXPECT_EQ(plan.status(), core::SolveStatus::kBadSnapshot);
 }
 
+TEST(FuzzCorpus, ReversedLevelOrderBlobIsATypedRejection) {
+  // reject_snapshot_reversed_levels_v3.bin is a CRC-valid v3 cpu-taskgraph
+  // blob of gen_layered_dag(900, 25, 5400, 0.4, 77) whose level `order` was
+  // reversed before sealing. Readers that checked bounds only loaded it
+  // and solved with kOk and a wrong answer; it must be a typed rejection.
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(support::read_file(
+      corpus_dir() + "/reject_snapshot_reversed_levels_v3.bin", bytes));
+  const std::string err = snapshot_decodes(bytes);
+  EXPECT_NE(err.find("level-analysis"), std::string::npos) << err;
+
+  core::SolveOptions opt =
+      core::registry::options_for("cpu-taskgraph").value();
+  opt.cpu_threads = 1;
+  const auto plan = core::SolverPlan::deserialize(bytes, opt);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status(), core::SolveStatus::kBadSnapshot);
+}
+
 TEST(FuzzCorpus, EveryCorpusFileFailStopsOrDecodesAsNamed) {
   std::size_t replayed = 0;
   for (const fs::directory_entry& e : fs::directory_iterator(corpus_dir())) {

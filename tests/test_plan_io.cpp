@@ -452,6 +452,27 @@ TEST(PlanIo, BorrowedLoadChecksStructuralHash) {
   std::remove(path.c_str());
 }
 
+core::SolveOptions taskgraph_options() {
+  core::SolveOptions opt = core::registry::options_for("cpu-taskgraph").value();
+  opt.cpu_threads = 1;
+  return opt;
+}
+
+/// A CRC-valid cpu-taskgraph blob of `l` whose level record `tamper` edited
+/// before sealing (what a resealed hostile blob can carry).
+template <typename Tamper>
+std::vector<std::uint8_t> tampered_levels_blob(const sparse::CscMatrix& l,
+                                               const core::SolveOptions& opt,
+                                               Tamper tamper) {
+  core::PlanSnapshot snap;
+  snap.backend = core::Backend::kCpuTaskGraph;
+  snap.tasks_per_gpu = opt.tasks_per_gpu;
+  snap.num_gpus = opt.machine.num_gpus();
+  snap.levels = sparse::analyze_levels(l);
+  tamper(*snap.levels);
+  return core::serialize_snapshot(snap, l);
+}
+
 TEST(PlanIo, LevelDriftIsRejectedNotHung) {
   // A CRC-valid blob whose level order disagrees with its factor would
   // hand the task kernel a backward cross-task edge -- a 1-thread gang
@@ -459,24 +480,48 @@ TEST(PlanIo, LevelDriftIsRejectedNotHung) {
   // to the first solve.
   // Chains feeding wide fans: several tasks joined by cross-task edges.
   const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 20, 256, 4, 9);
-  core::SolveOptions opt = core::registry::options_for("cpu-taskgraph").value();
-  opt.cpu_threads = 1;
+  const core::SolveOptions opt = taskgraph_options();
   ASSERT_GE(core::SolverPlan::analyze(l, opt)->task_graph()->num_tasks, 2);
 
-  core::PlanSnapshot snap;
-  snap.backend = core::Backend::kCpuTaskGraph;
-  snap.tasks_per_gpu = opt.tasks_per_gpu;
-  snap.num_gpus = opt.machine.num_gpus();
-  snap.levels = sparse::analyze_levels(l);
-  // Deepest rows first: every dependency now sits in a LATER task.
-  std::reverse(snap.levels->order.begin(), snap.levels->order.end());
-  const std::vector<std::uint8_t> blob = core::serialize_snapshot(snap, l);
+  // Deepest level first: every dependency now sits in a LATER task. The
+  // record stays self-consistent (order a permutation whose level ranges
+  // agree with level_of), so only the check against the factor can
+  // catch it.
+  const std::vector<std::uint8_t> blob =
+      tampered_levels_blob(l, opt, [](sparse::LevelAnalysis& lv) {
+        std::reverse(lv.order.begin(), lv.order.end());
+        for (index_t& level : lv.level_of) level = lv.num_levels - 1 - level;
+        const std::vector<offset_t> ptr = lv.level_ptr;
+        for (std::size_t k = 0; k < ptr.size(); ++k) {
+          lv.level_ptr[k] =
+              static_cast<offset_t>(lv.n) - ptr[ptr.size() - 1 - k];
+        }
+      });
 
   const auto r = core::SolverPlan::deserialize(blob, opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
   EXPECT_NE(r.message().find("backward edge"), std::string::npos)
       << r.message();
+}
+
+TEST(PlanIo, ReversedLevelOrderIsBadSnapshot) {
+  // A CRC-valid blob whose level order is reversed while level_of and
+  // level_ptr still describe the analyzed levels. The coarsened task graph
+  // of this factor is a single task, so no cross-task edge exposes the
+  // drift: before the record check it loaded and solved with kOk and a
+  // wrong answer. It must be a typed rejection at load.
+  const sparse::CscMatrix l = test_matrix();
+  const core::SolveOptions opt = taskgraph_options();
+  ASSERT_EQ(core::SolverPlan::analyze(l, opt)->task_graph()->num_tasks, 1);
+  const std::vector<std::uint8_t> blob =
+      tampered_levels_blob(l, opt, [](sparse::LevelAnalysis& lv) {
+        std::reverse(lv.order.begin(), lv.order.end());
+      });
+
+  const auto r = core::SolverPlan::deserialize(blob, opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
 }
 
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {
